@@ -129,27 +129,17 @@ let scenario_obs config =
    replay the forced draws are already in the trace). The observer is
    still installed — deliveries/crashes land in the journal so conformance
    can be checked on replayed traces — but the strategy is not wrapped. *)
-let scenario_steers config =
+let scenario_steers config (factory : Strategy.factory) =
   match (config.scenario, config.strategy) with
   | None, _ -> false
-  | Some _, (Dfs _ | Replay_trace _) -> false
+  | Some _, (Dfs _ | Replay_trace _) ->
+    Printf.eprintf
+      "[engine] strategy %s retraces its own choices; the scenario is \
+       observed but does not steer\n\
+       %!"
+      factory.Strategy.factory_name;
+    false
   | Some _, _ -> true
-
-let normalize_scenario config =
-  (match (config.scenario, config.strategy) with
-   | Some _, (Dfs _ | Replay_trace _) ->
-     Printf.eprintf
-       "[engine] strategy %s retraces its own choices; the scenario is \
-        observed but does not steer\n\
-        %!"
-       (factory_of config).Strategy.factory_name
-   | _ -> ());
-  config
-
-let scenario_wrap ~steer sobs strategy =
-  match sobs with
-  | Some o when steer -> Scenario.wrap ~obs:o strategy
-  | _ -> strategy
 
 (* Invoked once per execution, after the runtime returns, with the
    execution's fully-populated observer (journal, wedge count, violation
@@ -186,20 +176,23 @@ let note_hb hb exec_cov =
    choices; pruning their enabled sets would change what they mean. Keep
    the recorder (partial orders still land in coverage) but drop the
    pruning. *)
-let normalize_reduction config =
+let normalize_reduction config (factory : Strategy.factory) =
   match (config.reduce, config.strategy) with
   | Sleep_sets, (Dfs _ | Replay_trace _) ->
     Printf.eprintf
       "[engine] strategy %s is incompatible with sleep-set pruning; \
        tracking happens-before without pruning\n\
        %!"
-      (factory_of config).Strategy.factory_name;
+      factory.Strategy.factory_name;
     { config with reduce = Hb_track }
   | _ -> config
 
 let no_monitors () = []
 
-let replay ?(monitors = no_monitors) config trace body =
+(* Re-execute one recorded schedule with logging on. Only the public
+   [replay] audits: the log re-execution of a found bug repeats an
+   execution the driver has already audited. *)
+let replay_ ~audit ~monitors config trace body =
   let strategy =
     match (Replay_strategy.factory trace).fresh ~iteration:0 with
     | Some s -> s
@@ -211,331 +204,139 @@ let replay ?(monitors = no_monitors) config trace body =
       (runtime_config ?scenario:sobs config ~collect_log:true)
       strategy ~monitors:(monitors ()) ~name:"Harness" body
   in
-  audit_scenario config sobs;
+  if audit then audit_scenario config sobs;
   result
 
-(* Assemble the report of a buggy execution, optionally re-executing the
-   schedule with logging on to capture a readable trace log. *)
-let finish_report ~monitors config ~kind (result : Runtime.exec_result) body =
-  let log =
-    if config.collect_log_on_bug then
-      (replay ~monitors config result.Runtime.choices body).Runtime.log
-    else result.Runtime.log
-  in
+let replay ?(monitors = no_monitors) config trace body =
+  replay_ ~audit:true ~monitors config trace body
+
+let report_of_result kind (result : Runtime.exec_result) =
   {
     Error.kind;
     step = result.Runtime.bug_step;
     trace = result.Runtime.choices;
-    log;
+    log = result.Runtime.log;
   }
 
-(* --- Per-run coverage collection --------------------------------------- *)
+(* --- Coverage observation ---------------------------------------------- *)
 
-(* Coverage is collected when explicitly requested, when a plateau bound
-   needs it, when the strategy wants feedback (fuzz), or when a campaign
-   resume carries prior coverage (which seeds the accumulator so novelty
-   and the plateau are judged relative to history). *)
-let wants_coverage config (factory : Strategy.factory) =
-  config.collect_coverage
-  || config.coverage_plateau <> None
-  || config.prior_coverage <> None
-  || factory.Strategy.feedback <> None
+(* State shared by the workers of one run: the coverage accumulator
+   (seeded with prior coverage), the plateau counter, and survey's table
+   of distinct bug kinds (first report, count, iteration of the first
+   report). [mu] guards [acc] when several workers merge into it and
+   [kinds] always. *)
+type shared = {
+  acc : Coverage.t option;
+  mu : Mutex.t;
+  no_gain : int Atomic.t;  (* consecutive executions with no new point *)
+  kinds : (string, Error.report * int * int) Hashtbl.t;
+}
 
-let seeded_acc config =
-  let acc = Coverage.create () in
-  (match config.prior_coverage with
-   | Some prior -> ignore (Coverage.absorb ~into:acc prior)
+(* One worker's observation state. With one worker [map] is the run
+   accumulator itself: every execution is absorbed once, its novelty
+   feeds the plateau counter and the strategy, exactly as a sequential
+   loop would. With several workers [map] is a worker-cumulative view
+   that only answers feedback novelty (fuzz), and [delta] collects the
+   executions that [flush] merges into the shared accumulator at batch
+   boundaries, so the per-execution path takes no lock. [absorb] is
+   commutative, so the merged map equals the one-worker map at the same
+   budget. *)
+type worker = {
+  factory : Strategy.factory;
+  map : Coverage.t option;
+  mutable delta : Coverage.t option;
+  mutable pending : int;  (* executions folded into [delta] *)
+}
+
+let new_worker shared ~workers (factory : Strategy.factory) =
+  let fresh () = Some (Coverage.create ()) in
+  match shared.acc with
+  | None -> { factory; map = None; delta = None; pending = 0 }
+  | Some _ as acc when workers = 1 -> { factory; map = acc; delta = None; pending = 0 }
+  | Some _ ->
+    let map = if factory.Strategy.feedback <> None then fresh () else None in
+    { factory; map; delta = fresh (); pending = 0 }
+
+(* An absorb with this novelty covered [n] executions. Did it count as
+   plateau gain? Unkeyed, any core-family novelty does (schedule and hb
+   fingerprints never count — see coverage.mli). Keyed on a family, only
+   that family's novelty resets the counter, so e.g. [--plateau-family hb]
+   stops a long fuzz campaign once it stops finding new partial orders
+   even while coarser families still trickle in. Under several workers the
+   counter is sampled at merge epochs: coarser than one worker's
+   per-execution count, with the same meaning. *)
+let count_gain config shared novelty n =
+  let gain =
+    match config.plateau_family with
+    | None -> Coverage.novel_core novelty
+    | Some fam -> Coverage.novel_in novelty fam
+  in
+  if gain then Atomic.set shared.no_gain 0
+  else ignore (Atomic.fetch_and_add shared.no_gain n)
+
+let observe config shared w (result : Runtime.exec_result) exec =
+  Coverage.note_execution exec
+    ~fingerprint:(Coverage.fingerprint result.Runtime.choices);
+  (match w.delta with
+   | Some d ->
+     ignore (Coverage.absorb ~into:d exec);
+     w.pending <- w.pending + 1
    | None -> ());
-  acc
-
-(* Did this absorb count as plateau gain? Unkeyed, any core-family novelty
-   does (the historical rule; schedule and hb fingerprints never count —
-   see coverage.mli). Keyed on a family, only that family's novelty resets
-   the counter, so e.g. [--plateau-family hb] stops a long fuzz campaign
-   once it stops finding new partial orders even while coarser families
-   still trickle in. *)
-let plateau_gain family novelty =
-  match family with
-  | None -> Coverage.novel_core novelty
-  | Some fam -> Coverage.novel_in novelty fam
-
-(* The sequential accumulator: the run owns it exclusively, so merging an
-   execution's map is a plain call — no lock anywhere on the path. *)
-type collector = {
-  acc : Coverage.t;
-  gain_family : Coverage.family_kind option;
-  mutable no_gain : int;  (* consecutive executions with no new point *)
-}
-
-let collector_of config (factory : Strategy.factory) =
-  if wants_coverage config factory then
-    Some
-      {
-        acc = seeded_acc config;
-        gain_family = config.plateau_family;
-        no_gain = 0;
-      }
-  else None
-
-(* One execution's worth of coverage bookkeeping: fingerprint the schedule,
-   merge into the run accumulator, update the plateau counter and feed the
-   strategy back with the per-family novelty breakdown. Returns whether
-   the execution was core-novel. *)
-let observe collector (factory : Strategy.factory) (result : Runtime.exec_result)
-    exec_cov =
-  match (collector, exec_cov) with
-  | Some c, Some exec ->
-    Coverage.note_execution exec
-      ~fingerprint:(Coverage.fingerprint result.Runtime.choices);
-    let novelty = Coverage.absorb_tagged ~into:c.acc exec in
-    if plateau_gain c.gain_family novelty then c.no_gain <- 0
-    else c.no_gain <- c.no_gain + 1;
-    (match factory.Strategy.feedback with
-     | Some f -> f ~trace:result.Runtime.choices ~novelty
-     | None -> ());
-    Coverage.novel_core novelty
-  | _ -> false
-
-let exec_cov_of collector = Option.map (fun _ -> Coverage.create ()) collector
-
-let hit_plateau config collector =
-  match (config.coverage_plateau, collector) with
-  | Some n, Some c -> c.no_gain >= n
-  | _ -> false
-
-let coverage_of collector = Option.map (fun c -> c.acc) collector
-
-(* --- Parallel coverage: per-worker shards, batch-boundary merge -------- *)
-
-(* The parallel accumulator. Workers never touch it per execution: each
-   worker folds its executions into a private delta map and merges the
-   delta here only at Worker_pool batch boundaries (and once at exit), so
-   the per-execution hot path is mutex-free by construction. [absorb] is
-   commutative and associative, so the merged map is identical to the
-   sequential accumulator at the same budget regardless of merge order. *)
-type shared_collector = {
-  s_acc : Coverage.t;
-  s_mu : Mutex.t;
-  s_family : Coverage.family_kind option;
-  s_no_gain : int Atomic.t;
-      (* executions with no new point, sampled at merge epochs: a merge
-         that brings novelty resets it, one that brings none adds the
-         delta's execution count. Coarser than the sequential counter
-         (batch granularity) but the same user-visible semantics. *)
-}
-
-let shared_collector_of config factory =
-  if wants_coverage config factory then
-    Some
-      {
-        s_acc = seeded_acc config;
-        s_mu = Mutex.create ();
-        s_family = config.plateau_family;
-        s_no_gain = Atomic.make 0;
-      }
-  else None
-
-(* Per-worker observation state, allocated in the worker's own domain.
-   [view] is a worker-cumulative map used only to answer per-execution
-   novelty for feedback strategies (fuzz) without consulting the shared
-   accumulator — a local approximation of the sequential novelty signal. *)
-type worker_obs = {
-  w_factory : Strategy.factory;
-  w_shared : shared_collector option;
-  mutable w_delta : Coverage.t;
-  mutable w_pending : int;  (* executions folded into [w_delta] *)
-  w_view : Coverage.t option;
-}
-
-let worker_obs_of config shared ~worker:_ =
-  let factory = factory_of config in
-  {
-    w_factory = factory;
-    w_shared = shared;
-    w_delta = Coverage.create ();
-    w_pending = 0;
-    w_view =
-      (if factory.Strategy.feedback <> None then Some (Coverage.create ())
-       else None);
-  }
-
-let obs_exec_cov obs =
-  if obs.w_shared <> None || obs.w_view <> None then Some (Coverage.create ())
-  else None
-
-(* Per-execution bookkeeping, all worker-local: no locks, no shared
-   writes. *)
-let observe_local obs (result : Runtime.exec_result) exec_cov =
-  match exec_cov with
+  match w.map with
   | None -> ()
-  | Some exec ->
-    Coverage.note_execution exec
-      ~fingerprint:(Coverage.fingerprint result.Runtime.choices);
-    (match (obs.w_view, obs.w_factory.Strategy.feedback) with
-     | Some view, Some f ->
-       let novelty = Coverage.absorb_tagged ~into:view exec in
-       f ~trace:result.Runtime.choices ~novelty
-     | _ -> ());
-    (match obs.w_shared with
-     | Some _ ->
-       ignore (Coverage.absorb ~into:obs.w_delta exec);
-       obs.w_pending <- obs.w_pending + 1
+  | Some m ->
+    let novelty = Coverage.absorb_tagged ~into:m exec in
+    if Option.is_none w.delta then count_gain config shared novelty 1;
+    (match w.factory.Strategy.feedback with
+     | Some f -> f ~trace:result.Runtime.choices ~novelty
      | None -> ())
 
-(* Batch-boundary merge: the only place worker coverage meets the shared
-   accumulator (Worker_pool invokes it between batches and at exit). *)
-let flush_obs obs =
-  match obs.w_shared with
-  | Some s when obs.w_pending > 0 ->
-    let delta = obs.w_delta and pending = obs.w_pending in
-    obs.w_delta <- Coverage.create ();
-    obs.w_pending <- 0;
+(* Batch-boundary merge: the only place a worker's coverage meets the
+   shared accumulator (Worker_pool invokes it between batches and at
+   exit). *)
+let flush config shared w =
+  match (shared.acc, w.delta) with
+  | Some acc, Some delta when w.pending > 0 ->
+    let pending = w.pending in
+    w.delta <- Some (Coverage.create ());
+    w.pending <- 0;
     let novelty =
-      Mutex.protect s.s_mu (fun () -> Coverage.absorb_tagged ~into:s.s_acc delta)
+      Mutex.protect shared.mu (fun () -> Coverage.absorb_tagged ~into:acc delta)
     in
-    if plateau_gain s.s_family novelty then Atomic.set s.s_no_gain 0
-    else ignore (Atomic.fetch_and_add s.s_no_gain pending)
+    count_gain config shared novelty pending
   | _ -> ()
 
-let shared_hit_plateau config shared =
-  match (config.coverage_plateau, shared) with
-  | Some n, Some s -> Atomic.get s.s_no_gain >= n
-  | _ -> false
+(* Keep each kind's report from the lowest global iteration, so the
+   survey is the same at every worker count. *)
+let note_kind shared ~iteration kind result =
+  let key = Error.kind_to_string kind in
+  Mutex.protect shared.mu (fun () ->
+      Hashtbl.replace shared.kinds key
+        (match Hashtbl.find_opt shared.kinds key with
+         | Some (report, n, first) when first < iteration -> (report, n + 1, first)
+         | Some (_, n, _) -> (report_of_result kind result, n + 1, iteration)
+         | None -> (report_of_result kind result, 1, iteration)))
 
-let shared_coverage_of shared = Option.map (fun s -> s.s_acc) shared
+(* --- The driver -------------------------------------------------------- *)
 
-(* ----------------------------------------------------------------------- *)
+(* What a bug does to the run: [run] stops at the first, [explore] runs
+   on regardless, [survey] runs on and tallies bugs by kind. *)
+type stop_policy = First_bug | Never | Dedup_by_kind
 
-let run_sequential ~monitors config body =
-  let factory = factory_of config in
-  let collector = collector_of config factory in
-  let steer = scenario_steers config in
-  let started = Unix.gettimeofday () in
-  let deadline = Option.map (fun b -> started +. b) config.max_seconds in
-  let total_steps = ref 0 in
-  let out_of_time () =
-    match deadline with
-    | Some d -> Unix.gettimeofday () >= d
-    | None -> false
-  in
-  let stats_at ?(search_exhausted = false) ?(plateaued = false)
-      ?(timed_out = false) i =
-    {
-      executions = i;
-      elapsed = Unix.gettimeofday () -. started;
-      total_steps = !total_steps;
-      search_exhausted;
-      coverage = coverage_of collector;
-      plateaued;
-      timed_out;
-    }
-  in
-  let rec iterate i =
-    if i >= config.max_executions then No_bug (stats_at i)
-    else if out_of_time () then No_bug (stats_at ~timed_out:true i)
-    else
-      match factory.Strategy.fresh ~iteration:(config.start_iteration + i) with
-      | None -> No_bug (stats_at ~search_exhausted:true i)
-      | Some strategy ->
-        let strategy, hb = instrument config strategy in
-        let sobs = scenario_obs config in
-        let strategy = scenario_wrap ~steer sobs strategy in
-        let exec_cov = exec_cov_of collector in
-        let result =
-          Runtime.execute
-            (runtime_config ?coverage:exec_cov ?hb ?deadline ?scenario:sobs
-               config ~collect_log:false)
-            strategy ~monitors:(monitors ()) ~name:"Harness" body
-        in
-        total_steps := !total_steps + result.Runtime.steps;
-        note_hb hb exec_cov;
-        ignore (observe collector factory result exec_cov);
-        audit_scenario config sobs;
-        (match result.Runtime.bug with
-         | Some kind ->
-           let report = finish_report ~monitors config ~kind result body in
-           Bug_found (report, stats_at (i + 1))
-         | None ->
-           if result.Runtime.timed_out then
-             No_bug (stats_at ~timed_out:true (i + 1))
-           else if hit_plateau config collector then
-             No_bug (stats_at ~plateaued:true (i + 1))
-           else iterate (i + 1))
-  in
-  iterate 0
-
-(* Parallel exploration: each worker domain owns a private factory built
-   from the same config and explores the global iteration indices assigned
-   to it by the pool, so the set of schedules explored is exactly the
-   sequential set for every worker count (seeds derive from the global
-   iteration index, not from the worker). Each worker folds coverage into
-   a private shard and merges it into the shared accumulator only at batch
-   boundaries; merge order varies with scheduling but the merged map does
-   not (absorb is commutative). The per-execution hot path takes no lock
-   and writes no shared atomic. *)
-let run_parallel ~monitors ~workers config body =
-  let shared = shared_collector_of config (factory_of config) in
-  let steer = scenario_steers config in
-  let deadline =
-    Option.map (fun b -> Unix.gettimeofday () +. b) config.max_seconds
-  in
-  let exec_timed_out = Atomic.make false in
-  let winner, pool_stats =
-    Worker_pool.hunt ~workers ~max_iterations:config.max_executions
-      ?max_seconds:config.max_seconds
-      ~init:(worker_obs_of config shared)
-      ~on_batch:flush_obs
-      ~body:(fun obs ~iteration ->
-        match
-          obs.w_factory.Strategy.fresh
-            ~iteration:(config.start_iteration + iteration)
-        with
-        | None -> (None, 0)
-        | Some strategy ->
-          let sobs = scenario_obs config in
-          let strategy = scenario_wrap ~steer sobs strategy in
-          let exec_cov = obs_exec_cov obs in
-          let result =
-            Runtime.execute
-              (runtime_config ?coverage:exec_cov ?deadline ?scenario:sobs
-                 config ~collect_log:false)
-              strategy ~monitors:(monitors ()) ~name:"Harness" body
-          in
-          observe_local obs result exec_cov;
-          audit_scenario config sobs;
-          if result.Runtime.timed_out then Atomic.set exec_timed_out true;
-          let payload =
-            match result.Runtime.bug with
-            | Some kind -> Some (`Bug (kind, result))
-            | None ->
-              if shared_hit_plateau config shared then Some `Plateau else None
-          in
-          (payload, result.Runtime.steps))
-      ()
-  in
-  let stats ~plateaued =
-    {
-      executions = pool_stats.Worker_pool.executions;
-      elapsed = pool_stats.Worker_pool.elapsed;
-      total_steps = pool_stats.Worker_pool.total_steps;
-      search_exhausted = false;
-      coverage = shared_coverage_of shared;
-      plateaued;
-      timed_out =
-        pool_stats.Worker_pool.timed_out || Atomic.get exec_timed_out;
-    }
-  in
-  match winner with
-  | None -> No_bug (stats ~plateaued:false)
-  | Some (`Plateau, _iteration) -> No_bug (stats ~plateaued:true)
-  | Some (`Bug (kind, result), _iteration) ->
-    Bug_found (finish_report ~monitors config ~kind result body, stats ~plateaued:false)
+(* Why a run ended before its budget. The pool keeps the stop at the
+   lowest global iteration, so the stop does not depend on the worker
+   count. *)
+type stop =
+  | Bug of Error.kind * Runtime.exec_result
+  | Timed_out
+  | Plateaued
+  | Exhausted
 
 (* Parallel mode needs a parallel-safe strategy (a stateless factory each
    worker can instantiate privately); otherwise fall back with a notice. *)
-let parallel_plan config =
+let parallel_plan config (factory : Strategy.factory) =
   let workers = Worker_pool.resolve config.workers in
-  if workers <= 1 || config.max_executions <= 1 then `Sequential
+  if workers <= 1 || config.max_executions <= 1 then 1
   else if config.reduce <> No_reduction then begin
     (* the recorder and sleep sets are per-execution, but the reduction's
        value lies in the sequentially-shared coverage of partial orders;
@@ -545,253 +346,132 @@ let parallel_plan config =
        workers=%d and exploring sequentially\n\
        %!"
       workers;
-    `Sequential
+    1
   end
+  else if factory.Strategy.parallel_safe then workers
   else begin
-    let factory = factory_of config in
-    if factory.Strategy.parallel_safe then `Parallel workers
-    else begin
-      Printf.eprintf
-        "[engine] strategy %s keeps state across executions; ignoring \
-         workers=%d and exploring sequentially\n\
-         %!"
-        factory.Strategy.factory_name workers;
-      `Sequential
-    end
+    Printf.eprintf
+      "[engine] strategy %s keeps state across executions; ignoring \
+       workers=%d and exploring sequentially\n\
+       %!"
+      factory.Strategy.factory_name workers;
+    1
   end
 
-let run ?(monitors = no_monitors) config body =
-  let config = normalize_scenario (normalize_reduction config) in
-  match parallel_plan config with
-  | `Sequential -> run_sequential ~monitors config body
-  | `Parallel workers -> run_parallel ~monitors ~workers config body
-
-(* --- Explore: full-budget coverage measurement ------------------------- *)
-
-(* Like [run] but never stops at a bug: the whole budget executes (subject
-   to max_seconds / plateau), which makes coverage comparable across
-   strategies — a strategy that trips a bug early would otherwise be
-   charged fewer executions than its rivals. *)
-let explore_sequential ~monitors config body =
+(* The one execution loop behind [run], [explore] and [survey]. Each
+   worker owns a private factory and runs the global iterations the pool
+   hands it; seeds derive from the global iteration, so the schedule set
+   is the same at every worker count. One worker runs inline, without a
+   domain. *)
+let drive ~policy ~monitors config body =
   let factory = factory_of config in
-  let collector = collector_of config factory in
-  let steer = scenario_steers config in
+  let config = normalize_reduction config factory in
+  let steer = scenario_steers config factory in
+  let workers = parallel_plan config factory in
+  (* Coverage is collected when explicitly requested, when a plateau bound
+     needs it, when the strategy wants feedback (fuzz), or when a campaign
+     resume carries prior coverage (which seeds the accumulator so novelty
+     and the plateau are judged relative to history). *)
+  let acc =
+    if
+      config.collect_coverage || config.coverage_plateau <> None
+      || config.prior_coverage <> None || factory.Strategy.feedback <> None
+    then begin
+      let acc = Coverage.create () in
+      Option.iter (fun prior -> ignore (Coverage.absorb ~into:acc prior))
+        config.prior_coverage;
+      Some acc
+    end
+    else None
+  in
+  let shared =
+    { acc; mu = Mutex.create (); no_gain = Atomic.make 0; kinds = Hashtbl.create 8 }
+  in
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) config.max_seconds in
-  let total_steps = ref 0 in
-  let out_of_time () =
-    match deadline with
-    | Some d -> Unix.gettimeofday () >= d
-    | None -> false
+  let plateau = Option.value config.coverage_plateau ~default:max_int in
+  let execute w ~iteration =
+    match w.factory.Strategy.fresh ~iteration:(config.start_iteration + iteration) with
+    | None -> (Some Exhausted, 0)
+    | Some strategy ->
+      let strategy, hb = instrument config strategy in
+      let sobs = scenario_obs config in
+      let strategy =
+        match sobs with
+        | Some o when steer -> Scenario.wrap ~obs:o strategy
+        | _ -> strategy
+      in
+      let exec_cov = Option.map (fun _ -> Coverage.create ()) shared.acc in
+      let result =
+        Runtime.execute
+          (runtime_config ?coverage:exec_cov ?hb ?deadline ?scenario:sobs
+             config ~collect_log:false)
+          strategy ~monitors:(monitors ()) ~name:"Harness" body
+      in
+      note_hb hb exec_cov;
+      Option.iter (observe config shared w result) exec_cov;
+      audit_scenario config sobs;
+      let stop =
+        match result.Runtime.bug with
+        | Some kind when policy = First_bug -> Some (Bug (kind, result))
+        | bug ->
+          if policy = Dedup_by_kind then
+            Option.iter (fun kind -> note_kind shared ~iteration kind result) bug;
+          if result.Runtime.timed_out then Some Timed_out
+          else if Atomic.get shared.no_gain >= plateau then Some Plateaued
+          else None
+      in
+      (stop, result.Runtime.steps)
   in
-  let stats_at ?(search_exhausted = false) ?(plateaued = false)
-      ?(timed_out = false) i =
-    {
-      executions = i;
-      elapsed = Unix.gettimeofday () -. started;
-      total_steps = !total_steps;
-      search_exhausted;
-      coverage = coverage_of collector;
-      plateaued;
-      timed_out;
-    }
-  in
-  let rec iterate i =
-    if i >= config.max_executions then stats_at i
-    else if out_of_time () then stats_at ~timed_out:true i
-    else
-      match factory.Strategy.fresh ~iteration:(config.start_iteration + i) with
-      | None -> stats_at ~search_exhausted:true i
-      | Some strategy ->
-        let strategy, hb = instrument config strategy in
-        let sobs = scenario_obs config in
-        let strategy = scenario_wrap ~steer sobs strategy in
-        let exec_cov = exec_cov_of collector in
-        let result =
-          Runtime.execute
-            (runtime_config ?coverage:exec_cov ?hb ?deadline ?scenario:sobs
-               config ~collect_log:false)
-            strategy ~monitors:(monitors ()) ~name:"Harness" body
-        in
-        total_steps := !total_steps + result.Runtime.steps;
-        note_hb hb exec_cov;
-        ignore (observe collector factory result exec_cov);
-        audit_scenario config sobs;
-        if result.Runtime.timed_out then stats_at ~timed_out:true (i + 1)
-        else if hit_plateau config collector then
-          stats_at ~plateaued:true (i + 1)
-        else iterate (i + 1)
-  in
-  iterate 0
-
-let explore_parallel ~monitors ~workers config body =
-  let shared = shared_collector_of config (factory_of config) in
-  let steer = scenario_steers config in
-  let deadline =
-    Option.map (fun b -> Unix.gettimeofday () +. b) config.max_seconds
-  in
-  let exec_timed_out = Atomic.make false in
-  let winner, pool_stats =
+  let winner, pool =
     Worker_pool.hunt ~workers ~max_iterations:config.max_executions
       ?max_seconds:config.max_seconds
-      ~init:(worker_obs_of config shared)
-      ~on_batch:flush_obs
-      ~body:(fun obs ~iteration ->
-        match
-          obs.w_factory.Strategy.fresh
-            ~iteration:(config.start_iteration + iteration)
-        with
-        | None -> (None, 0)
-        | Some strategy ->
-          let sobs = scenario_obs config in
-          let strategy = scenario_wrap ~steer sobs strategy in
-          let exec_cov = obs_exec_cov obs in
-          let result =
-            Runtime.execute
-              (runtime_config ?coverage:exec_cov ?deadline ?scenario:sobs
-                 config ~collect_log:false)
-              strategy ~monitors:(monitors ()) ~name:"Harness" body
-          in
-          observe_local obs result exec_cov;
-          audit_scenario config sobs;
-          if result.Runtime.timed_out then Atomic.set exec_timed_out true;
-          ( (if shared_hit_plateau config shared then Some () else None),
-            result.Runtime.steps ))
-      ()
+      ~init:(fun ~worker ->
+        new_worker shared ~workers
+          (if worker = 0 then factory else factory_of config))
+      ~on_batch:(flush config shared) ~body:execute ()
   in
-  {
-    executions = pool_stats.Worker_pool.executions;
-    elapsed = pool_stats.Worker_pool.elapsed;
-    total_steps = pool_stats.Worker_pool.total_steps;
-    search_exhausted = false;
-    coverage = shared_coverage_of shared;
-    plateaued = winner <> None;
-    timed_out = pool_stats.Worker_pool.timed_out || Atomic.get exec_timed_out;
-  }
+  let stop = Option.map fst winner in
+  let is s = stop = Some s in
+  let stats =
+    {
+      (* an exhausted strategy ran no execution for its iteration *)
+      executions = pool.Worker_pool.executions - (if is Exhausted then 1 else 0);
+      elapsed = Unix.gettimeofday () -. started;
+      total_steps = pool.Worker_pool.total_steps;
+      search_exhausted = is Exhausted;
+      coverage = shared.acc;
+      plateaued = is Plateaued;
+      timed_out = pool.Worker_pool.timed_out || is Timed_out;
+    }
+  in
+  (stop, stats, shared.kinds)
+
+let run ?(monitors = no_monitors) config body =
+  match drive ~policy:First_bug ~monitors config body with
+  | Some (Bug (kind, result)), stats, _ ->
+    (* optionally re-execute the schedule with logging on, for a readable
+       trace log *)
+    let report = report_of_result kind result in
+    let log =
+      if config.collect_log_on_bug then
+        (replay_ ~audit:false ~monitors config report.trace body).Runtime.log
+      else report.log
+    in
+    Bug_found ({ report with log }, stats)
+  | _, stats, _ -> No_bug stats
 
 let explore ?(monitors = no_monitors) config body =
-  let config =
-    normalize_scenario
-      (normalize_reduction { config with collect_coverage = true })
+  let _, stats, _ =
+    drive ~policy:Never ~monitors { config with collect_coverage = true } body
   in
-  match parallel_plan config with
-  | `Sequential -> explore_sequential ~monitors config body
-  | `Parallel workers -> explore_parallel ~monitors ~workers config body
-
-(* Survey mode: keep exploring after bugs are found, deduplicating by the
-   rendered bug kind; returns each distinct bug's first report and how many
-   executions reproduced it. *)
-let report_of_result kind (result : Runtime.exec_result) =
-  {
-    Error.kind;
-    step = result.Runtime.bug_step;
-    trace = result.Runtime.choices;
-    log = result.Runtime.log;
-  }
-
-let survey_sequential ~monitors config body =
-  let factory = factory_of config in
-  let steer = scenario_steers config in
-  let started = Unix.gettimeofday () in
-  let deadline = Option.map (fun b -> started +. b) config.max_seconds in
-  let out_of_time () =
-    match deadline with
-    | Some d -> Unix.gettimeofday () >= d
-    | None -> false
-  in
-  let found : (string, Error.report * int) Hashtbl.t = Hashtbl.create 8 in
-  let order : string list ref = ref [] in
-  let rec iterate i =
-    (* The wall-clock budget applies here too: stop at the deadline and
-       return the violations collected so far. *)
-    if i >= config.max_executions || out_of_time () then ()
-    else
-      match factory.Strategy.fresh ~iteration:(config.start_iteration + i) with
-      | None -> ()
-      | Some strategy ->
-        let strategy, hb = instrument config strategy in
-        ignore hb;
-        let sobs = scenario_obs config in
-        let strategy = scenario_wrap ~steer sobs strategy in
-        let result =
-          Runtime.execute
-            (runtime_config ?hb ?deadline ?scenario:sobs config
-               ~collect_log:false)
-            strategy ~monitors:(monitors ()) ~name:"Harness" body
-        in
-        audit_scenario config sobs;
-        (match result.Runtime.bug with
-         | None -> ()
-         | Some kind ->
-           let key = Error.kind_to_string kind in
-           (match Hashtbl.find_opt found key with
-            | Some (report, n) -> Hashtbl.replace found key (report, n + 1)
-            | None ->
-              Hashtbl.replace found key (report_of_result kind result, 1);
-              order := key :: !order));
-        iterate (i + 1)
-  in
-  iterate 0;
-  List.rev_map (fun key -> Hashtbl.find found key) !order
-
-(* Workers dedupe into a shared lock-protected table; each distinct kind
-   keeps the report from the lowest global iteration, and kinds are
-   returned ordered by that iteration — the same order the sequential
-   survey discovers them in. *)
-let survey_parallel ~monitors ~workers config body =
-  let mu = Mutex.create () in
-  let steer = scenario_steers config in
-  let found : (string, Error.report * int * int) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let deadline =
-    Option.map (fun b -> Unix.gettimeofday () +. b) config.max_seconds
-  in
-  let (_ : (unit * int) list), (_ : Worker_pool.stats) =
-    Worker_pool.sweep ~workers ~max_iterations:config.max_executions
-      ?max_seconds:config.max_seconds
-      ~init:(fun ~worker:_ -> factory_of config)
-      ~body:(fun factory ~iteration ->
-        match
-          factory.Strategy.fresh ~iteration:(config.start_iteration + iteration)
-        with
-        | None -> (None, 0)
-        | Some strategy ->
-          let sobs = scenario_obs config in
-          let strategy = scenario_wrap ~steer sobs strategy in
-          let result =
-            Runtime.execute
-              (runtime_config ?deadline ?scenario:sobs config
-                 ~collect_log:false)
-              strategy ~monitors:(monitors ()) ~name:"Harness" body
-          in
-          audit_scenario config sobs;
-          (match result.Runtime.bug with
-           | None -> ()
-           | Some kind ->
-             let key = Error.kind_to_string kind in
-             Mutex.protect mu (fun () ->
-                 match Hashtbl.find_opt found key with
-                 | Some (report, n, first) ->
-                   if iteration < first then
-                     Hashtbl.replace found key
-                       (report_of_result kind result, n + 1, iteration)
-                   else Hashtbl.replace found key (report, n + 1, first)
-                 | None ->
-                   Hashtbl.replace found key
-                     (report_of_result kind result, 1, iteration)));
-          (None, result.Runtime.steps))
-      ()
-  in
-  Hashtbl.fold (fun _ entry acc -> entry :: acc) found []
-  |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
-  |> List.map (fun (report, n, _) -> (report, n))
+  stats
 
 let survey ?(monitors = no_monitors) config body =
-  let config = normalize_scenario (normalize_reduction config) in
-  match parallel_plan config with
-  | `Sequential -> survey_sequential ~monitors config body
-  | `Parallel workers -> survey_parallel ~monitors ~workers config body
+  let _, _, kinds = drive ~policy:Dedup_by_kind ~monitors config body in
+  Hashtbl.fold (fun _ entry acc -> entry :: acc) kinds []
+  |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
+  |> List.map (fun (report, n, _) -> (report, n))
 
 let ndc = function
   | Bug_found (report, _) -> Some (Trace.length report.Error.trace)

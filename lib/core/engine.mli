@@ -6,6 +6,13 @@
     a safety or liveness violation. A found bug is witnessed by a full
     schedule trace that {!replay} reproduces deterministically.
 
+    {!run}, {!explore} and {!survey} are one execution loop that differs
+    only in what a bug does to it: [run] stops at the first, [explore] runs
+    on, [survey] runs on and tallies bugs by kind. Every mode stops at
+    [max_executions], at [max_seconds], on the [coverage_plateau] bound and
+    when the strategy runs out of schedules (DFS). The loop runs on
+    {!Worker_pool}; one worker runs inline, without spawning a domain.
+
     With coverage enabled the engine also answers {e what} those executions
     explored: every execution records a {!Coverage} map (machine-state
     visits, delivered event types, transition triples, branch outcomes and
@@ -27,7 +34,8 @@ type strategy_spec =
       (** coverage-feedback-directed schedule fuzzing ({!Fuzz_strategy}):
           keeps a corpus (bounded by [corpus_cap]) of schedules that found
           new coverage and mutates them (splice / truncate / re-randomize
-          suffix). Stateful, hence sequential-only. *)
+          suffix). Stateful: parallel-safe only with a [fuzz_exchange]
+          hub, sequential otherwise. *)
 
 (** Happens-before instrumentation for an exploration run. *)
 type reduction =
@@ -67,9 +75,9 @@ type config = {
           worker — so a bug found with any worker count is found with
           every other (only wall-clock time and, when several distinct
           buggy schedules exist, which one is reported first can differ).
-          Stateful strategies (DFS, trace replay, fuzz) are not
-          parallel-safe; the engine logs a notice and falls back to
-          sequential. *)
+          Stateful strategies (DFS, trace replay, and fuzz without a
+          [fuzz_exchange] hub) are not parallel-safe; the engine logs a
+          notice and falls back to sequential. *)
   collect_coverage : bool;
       (** record per-execution coverage maps and return the merged map in
           [stats.coverage]. Coverage is also collected implicitly when
@@ -207,8 +215,10 @@ val pp_outcome : Format.formatter -> outcome -> unit
     (the root machine). [monitors] is called before each execution so every
     run gets fresh monitor state. With [config.workers] other than [1] and
     a parallel-safe strategy, executions fan out across domains
-    ({!Worker_pool}); the first bug raises an atomic stop flag and
-    in-flight workers exit at their next iteration boundary. *)
+    ({!Worker_pool}). A bug lowers a shared iteration bound: workers skip
+    iterations above the lowest buggy one and finish those below it, so
+    the reported bug is the one at the lowest global iteration, the same
+    at every worker count. *)
 val run :
   ?monitors:(unit -> Monitor.t list) ->
   config ->
@@ -218,8 +228,9 @@ val run :
 (** [explore config ~monitors body] runs the whole execution budget with
     coverage on and {e without} stopping at bugs, so coverage is
     comparable across strategies at a fixed budget (a strategy that trips
-    a bug early is not charged fewer executions). Honors [max_seconds]
-    and [coverage_plateau]; [stats.coverage] is always [Some]. *)
+    a bug early is not charged fewer executions). Honors [max_seconds],
+    [coverage_plateau] and strategy exhaustion; [stats.coverage] is always
+    [Some]. *)
 val explore :
   ?monitors:(unit -> Monitor.t list) ->
   config ->
@@ -239,9 +250,12 @@ val replay :
     first bug, deduplicating violations by kind. Returns, in order of first
     discovery, each distinct bug's first report and the number of
     executions that reproduced it — useful for judging how many distinct
-    defects a harness exposes and how frequently each one fires. Honors
-    [config.max_seconds] (partial results at the deadline) and
-    [config.workers] like {!run}. *)
+    defects a harness exposes and how frequently each one fires. A
+    feedback strategy (fuzz) is fed coverage as in {!run}, so a kind's
+    first report is {!run}'s witness on the same config. Stops at
+    [max_executions], at [max_seconds] (partial results at the deadline,
+    also inside an execution), on [coverage_plateau] and when the strategy
+    runs out of schedules; honors [workers] like {!run}. *)
 val survey :
   ?monitors:(unit -> Monitor.t list) ->
   config ->

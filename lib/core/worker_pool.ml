@@ -1,6 +1,4 @@
-type claim = Batch of int | Stride
-
-let default_claim = Batch 16
+let default_batch = 16
 
 type stats = {
   executions : int;
@@ -45,12 +43,10 @@ type 'r local = {
   mutable steps : int;
 }
 
-let drive ?(claim = default_claim) ~workers ~max_iterations ?max_seconds
+let drive ?(batch = default_batch) ~workers ~max_iterations ?max_seconds
     ~stop_on_result ~init ?on_batch ~body () =
-  (match claim with
-   | Batch n when n <= 0 ->
-     invalid_arg "Worker_pool.drive: batch size must be positive"
-   | _ -> ());
+  if batch <= 0 then
+    invalid_arg "Worker_pool.drive: batch size must be positive";
   let workers = max 1 (min (resolve workers) (max 1 max_iterations)) in
   let workers =
     if oversubscribe_requested () then workers
@@ -108,45 +104,25 @@ let drive ?(claim = default_claim) ~workers ~max_iterations ?max_seconds
           if stop_on_result then lower_stop_before g
       end
     in
-    (match claim with
-     | Batch size ->
-       (* Claim [size] consecutive global iterations per shared-counter
-          bump; the wall clock is polled once per claimed batch. *)
-       let running = ref true in
-       while !running do
-         let base = Atomic.fetch_and_add next size in
-         if base >= max_iterations || base >= Atomic.get stop_before then
-           running := false
-         else if past_deadline () then begin
-           Atomic.set timed_out true;
-           running := false
-         end
-         else begin
-           let stop = min (base + size) max_iterations in
-           for g = base to stop - 1 do
-             run_one g
-           done;
-           flush ()
-         end
-       done
-     | Stride ->
-       (* Legacy static assignment: worker [w] of [n] runs w, w+n, w+2n...
-          Kept for the merge-equivalence tests; the schedule {e set} is the
-          same as under batch claiming for every worker count. *)
-       let g = ref w in
-       let running = ref true in
-       while !running do
-         if !g >= max_iterations || !g >= Atomic.get stop_before then
-           running := false
-         else if past_deadline () then begin
-           Atomic.set timed_out true;
-           running := false
-         end
-         else begin
-           run_one !g;
-           g := !g + workers
-         end
-       done);
+    (* Claim [batch] consecutive global iterations per shared-counter
+       bump; the wall clock is polled once per claimed batch. *)
+    let running = ref true in
+    while !running do
+      let base = Atomic.fetch_and_add next batch in
+      if base >= max_iterations || base >= Atomic.get stop_before then
+        running := false
+      else if past_deadline () then begin
+        Atomic.set timed_out true;
+        running := false
+      end
+      else begin
+        let stop = min (base + batch) max_iterations in
+        for g = base to stop - 1 do
+          run_one g
+        done;
+        flush ()
+      end
+    done;
     flush ()
   in
   let guarded w () =
@@ -182,16 +158,16 @@ let drive ?(claim = default_claim) ~workers ~max_iterations ?max_seconds
       timed_out = Atomic.get timed_out;
     } )
 
-let hunt ?claim ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body ()
+let hunt ?batch ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body ()
     =
   let collected, stats =
-    drive ?claim ~workers ~max_iterations ?max_seconds ~stop_on_result:true
+    drive ?batch ~workers ~max_iterations ?max_seconds ~stop_on_result:true
       ~init ?on_batch ~body ()
   in
   let winner = match collected with [] -> None | best :: _ -> Some best in
   (winner, stats)
 
-let sweep ?claim ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body
+let sweep ?batch ~workers ~max_iterations ?max_seconds ~init ?on_batch ~body
     () =
-  drive ?claim ~workers ~max_iterations ?max_seconds ~stop_on_result:false
+  drive ?batch ~workers ~max_iterations ?max_seconds ~stop_on_result:false
     ~init ?on_batch ~body ()

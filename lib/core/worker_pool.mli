@@ -2,14 +2,15 @@
 
     Fans a budget of independent iterations (systematic-testing executions)
     across OCaml 5 domains. Work is handed out in {e batches}: a shared
-    atomic cursor claims [N] consecutive global iterations at a time
-    (see {!claim}), so the only shared-memory traffic on the per-iteration
+    atomic cursor claims [batch] consecutive global iterations at a time
+    (16 by default), so the only shared-memory traffic on the per-iteration
     hot path is one read of the early-stop bound — progress counters and
     results accumulate in worker-local records and are folded after the
     join. The {e set} of iterations explored (and hence, for seed-derived
     strategies, the set of schedules explored) is identical for every
-    worker count and claim granularity, including the sequential case;
-    only the wall-clock order of exploration can vary.
+    worker count and batch size, including the sequential case; only the
+    wall-clock order of exploration can vary. A single worker runs inline
+    in the calling domain: no domain is spawned.
 
     Each worker builds its own iteration state (strategy factory, PRNGs)
     via [init], inside its own domain. Requested worker counts beyond the
@@ -19,19 +20,6 @@
     anything extra. Setting the environment variable
     [PSHARP_OVERSUBSCRIBE=1] disables the clamp (used by tests to exercise
     the multi-domain machinery on small machines). *)
-
-(** How workers claim global iterations. Both disciplines cover exactly
-    the iterations [0 .. max_iterations - 1]. *)
-type claim =
-  | Batch of int
-      (** claim this many consecutive iterations per atomic cursor bump;
-          the wall-clock deadline is polled once per claimed batch *)
-  | Stride
-      (** legacy static assignment — worker [w] of [n] runs [w], [w + n],
-          [w + 2n], ... Kept for equivalence testing. *)
-
-(** [Batch 16] — the default used when [?claim] is omitted. *)
-val default_claim : claim
 
 type stats = {
   executions : int;  (** iterations completed across all workers *)
@@ -48,8 +36,10 @@ type stats = {
     @raise Invalid_argument when [n] is negative. *)
 val resolve : int -> int
 
-(** [hunt ~workers ~max_iterations ?max_seconds ~init ~body ()] drives
-    [body] over iterations [0 .. max_iterations - 1] and stops early once
+(** [hunt ?batch ~workers ~max_iterations ?max_seconds ~init ~body ()]
+    drives [body] over iterations [0 .. max_iterations - 1], claimed
+    [batch] consecutive iterations at a time (default 16; the wall-clock
+    deadline is polled once per claimed batch), and stops early once
     a [Some] result is found: the first report min-updates an atomic
     iteration bound, and workers keep completing iterations {e below} the
     best known result (possibly lowering the bound further) while skipping
@@ -59,7 +49,7 @@ val resolve : int -> int
     scheduler steps it took. Returns the winning result tagged with its
     global iteration index — always the {e lowest} reporting iteration, so
     for deterministic iterations the winner is identical at every worker
-    count and claim granularity (only the number of higher iterations
+    count and batch size (only the number of higher iterations
     additionally explored varies with timing). A worker exception is
     re-raised in the calling domain after all workers have been joined.
 
@@ -68,7 +58,7 @@ val resolve : int -> int
     engine merges per-worker coverage shards there, keeping the
     per-iteration path free of shared mutexes. *)
 val hunt :
-  ?claim:claim ->
+  ?batch:int ->
   workers:int ->
   max_iterations:int ->
   ?max_seconds:float ->
@@ -82,7 +72,7 @@ val hunt :
     budget runs (subject to [max_seconds]) and all [Some] results are
     collected, sorted by iteration index. *)
 val sweep :
-  ?claim:claim ->
+  ?batch:int ->
   workers:int ->
   max_iterations:int ->
   ?max_seconds:float ->

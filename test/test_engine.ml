@@ -172,6 +172,68 @@ let test_survey_empty_on_correct_system () =
   Alcotest.(check int) "no violations" 0
     (List.length (E.survey cfg (fun _ctx -> ())))
 
+(* run, explore and survey share one execution loop, so on the same
+   config they must agree: survey's first report of a kind is run's
+   witness, and explore over run's executions measures run's coverage.
+   The fuzz row holds only if every mode feeds coverage back to the
+   strategy. The coverage check is single-worker: a parallel run may also
+   execute iterations past its winner, which explore's prefix budget
+   would not cover. *)
+let test_run_survey_explore_agree () =
+  let entry = Catalog.Bug_catalog.find "ExampleDuplicateReplicaAck" in
+  let monitors = entry.Catalog.Bug_catalog.monitors in
+  let harness = entry.Catalog.Bug_catalog.harness in
+  let base =
+    {
+      E.default_config with
+      seed = 2L;
+      max_executions = 2_000;
+      max_steps = entry.Catalog.Bug_catalog.max_steps;
+      collect_coverage = true;
+    }
+  in
+  Unix.putenv "PSHARP_OVERSUBSCRIBE" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "PSHARP_OVERSUBSCRIBE" "0")
+  @@ fun () ->
+  List.iter
+    (fun (label, strategy, worker_counts) ->
+      List.iter
+        (fun workers ->
+          let tag = Printf.sprintf "%s/%d-worker" label workers in
+          let cfg = { base with E.strategy; workers } in
+          match E.run ~monitors cfg harness with
+          | E.No_bug _ -> Alcotest.failf "%s: no bug found" tag
+          | E.Bug_found (witness, stats) ->
+            let kind = Error.kind_to_string witness.Error.kind in
+            let budget = { cfg with E.max_executions = stats.E.executions } in
+            (match
+               List.find_opt
+                 (fun (r, _) -> Error.kind_to_string r.Error.kind = kind)
+                 (E.survey ~monitors budget harness)
+             with
+             | None -> Alcotest.failf "%s: survey missed %s" tag kind
+             | Some (first, _) ->
+               Alcotest.(check string)
+                 (tag ^ ": survey's first report is run's witness")
+                 (Trace.to_string witness.Error.trace)
+                 (Trace.to_string first.Error.trace));
+            if workers = 1 then
+              let explored = E.explore ~monitors budget harness in
+              Alcotest.(check bool)
+                (tag ^ ": explore coverage = run coverage")
+                true
+                (match (stats.E.coverage, explored.E.coverage) with
+                 | Some a, Some b -> Psharp.Coverage.equal a b
+                 | _ -> false))
+        worker_counts)
+    [
+      ("random", E.Random, [ 1; 2 ]);
+      ("pct", E.Pct { change_points = 2 }, [ 1; 2 ]);
+      (* fuzz is parallel-safe only with an exchange hub, whose pulls
+         depend on timing *)
+      ("fuzz", E.Fuzz { corpus_cap = 8 }, [ 1 ]);
+    ]
+
 let suite =
   suite
   @ [
@@ -179,4 +241,6 @@ let suite =
         test_survey_collects_distinct_bugs;
       Alcotest.test_case "survey empty on correct system" `Quick
         test_survey_empty_on_correct_system;
+      Alcotest.test_case "run, survey and explore agree" `Quick
+        test_run_survey_explore_agree;
     ]

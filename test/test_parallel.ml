@@ -320,7 +320,7 @@ let test_replay_rejects_negative_int () =
     Alcotest.failf "wrong kind: %s" (Error.kind_to_string k)
   | None -> Alcotest.fail "negative int choice replayed as if valid"
 
-(* --- Claim-discipline equivalence (batched vs legacy stride) ------------ *)
+(* --- Batch-size equivalence ---------------------------------------------- *)
 
 (* The domain clamp would fold every worker onto this machine's cores;
    lifting it exercises the real multi-domain machinery regardless of how
@@ -331,18 +331,12 @@ let with_oversubscribe f =
     ~finally:(fun () -> Unix.putenv "PSHARP_OVERSUBSCRIBE" "0")
     f
 
-let claim_modes =
-  [
-    ("batch1", W.Batch 1);
-    ("batch4", W.Batch 4);
-    ("batch16", W.Batch 16);
-    ("stride", W.Stride);
-  ]
+let claim_modes = [ ("batch1", 1); ("batch4", 4); ("batch16", 16) ]
 
 let test_sweep_equivalent_across_claims_and_workers () =
-  (* Every claim granularity and worker count must cover exactly the same
+  (* Every batch size and worker count must cover exactly the same
      iteration set and fold the same stats — the invariant that lets the
-     engine swap claiming disciplines without moving any golden digest. *)
+     engine change batch size without moving any golden digest. *)
   with_oversubscribe @@ fun () ->
   let iterations = 60 in
   let body () ~iteration =
@@ -358,11 +352,11 @@ let test_sweep_equivalent_across_claims_and_workers () =
     List.fold_left ( + ) 0 (List.init iterations (fun i -> 1 + (i mod 5)))
   in
   List.iter
-    (fun (label, claim) ->
+    (fun (label, batch) ->
       List.iter
         (fun workers ->
           let results, stats =
-            W.sweep ~claim ~workers ~max_iterations:iterations
+            W.sweep ~batch ~workers ~max_iterations:iterations
               ~init:(fun ~worker:_ -> ())
               ~body ()
           in
@@ -378,17 +372,17 @@ let test_sweep_equivalent_across_claims_and_workers () =
 
 let test_hunt_winner_identical_across_claims_and_workers () =
   (* Two iterations report (13 and 27); the lowest must win under every
-     claim discipline, batch size and worker count. *)
+     batch size and worker count. *)
   with_oversubscribe @@ fun () ->
   let body () ~iteration =
     ((if iteration = 13 || iteration = 27 then Some iteration else None), 1)
   in
   List.iter
-    (fun (label, claim) ->
+    (fun (label, batch) ->
       List.iter
         (fun workers ->
           let winner, _ =
-            W.hunt ~claim ~workers ~max_iterations:100
+            W.hunt ~batch ~workers ~max_iterations:100
               ~init:(fun ~worker:_ -> ())
               ~body ()
           in

@@ -195,12 +195,41 @@ let test_worker_invariance () =
           "%s: journal multiset differs between 1 and 3 workers" name)
     [ ("crash-mid-handoff", 60); ("dup-storm", 60) ]
 
+(* --- audit count ------------------------------------------------------- *)
+
+(* Re-executing a found bug to collect its log repeats an execution the
+   hunt has already audited; it must not reach the audit hook again. *)
+let test_audit_once_per_execution () =
+  let entry = Scat.find "dup-backend" in
+  let target = Bug.find "ChaintableDuplicateBackendRequest" in
+  let audits = ref 0 in
+  let config =
+    {
+      E.default_config with
+      seed = 1L;
+      max_executions = 2_000;
+      max_steps = target.Bug.max_steps;
+      faults = Scenario.arm entry.Scat.scenario target.Bug.faults;
+      clock = target.Bug.clock;
+      scenario = Some entry.Scat.scenario;
+      scenario_audit = Some (fun _ -> incr audits);
+      collect_log_on_bug = true;
+    }
+  in
+  match E.run ~monitors:target.Bug.monitors config target.Bug.harness with
+  | E.No_bug _ -> Alcotest.fail "dup-backend hunt found no bug"
+  | E.Bug_found (report, stats) ->
+    Alcotest.(check bool) "log collected" true (report.Psharp.Error.log <> []);
+    Alcotest.(check int) "one audit per execution" stats.E.executions !audits
+
 let suite =
   Alcotest.test_case "catalog shape" `Quick test_catalog_shape
   :: Alcotest.test_case "journal determinism (fixed seed)" `Quick
        test_determinism
   :: Alcotest.test_case "worker-count invariance" `Quick
        test_worker_invariance
+  :: Alcotest.test_case "audit once per execution with log collection"
+       `Quick test_audit_once_per_execution
   :: List.map
        (fun e ->
          Alcotest.test_case
